@@ -12,6 +12,48 @@
 //!   monitor first tries cheap adaptations of it and only falls back to a
 //!   full search when they all fail.
 //!
+//! # Incremental witness validation
+//!
+//! The adaptations are: keep the order (appending the event's transaction
+//! `T` if it is new), move `T` to the end, or decide `T`'s pending commit
+//! either way. None of them runs [`check_witness`] over the prefix.
+//! Beside the adopted witness the monitor keeps a validator whose
+//! invariant is that it mirrors a witness `check_witness` accepted for
+//! the current history. It holds compact u32 state:
+//!
+//! * per transaction, its order stamp (a larger stamp is later in
+//!   `seq(S)`; moving to the end takes a fresh stamp, so nothing is
+//!   renumbered) and whether it is committed in `S`;
+//! * per t-object, the committed writers in stamp order, each with its
+//!   value and its `tryC`-invocation index, and the value reads not
+//!   served by the reader's own write.
+//!
+//! A candidate differs from the certified witness only in `T`'s entry, so
+//! it is decided as an overlay of that entry, exactly as `check_witness`
+//! would decide it:
+//!
+//! * **Coverage and completion equivalence** hold by construction.
+//! * **Real-time order cannot fail.** `T` produced the last event, so
+//!   nothing follows it in `≺RT`; a new `T` is placed last; every other
+//!   pair keeps its `≺RT` relation and its relative order.
+//! * **Legality** (global, and local per Definition 3(3)) is re-derived for
+//!   `T`'s reads at its new stamp and for the reads of objects `T` writes
+//!   that sit after `T`'s old or new committed entry. Every other read
+//!   sees the same committed writers, with the same `tryC` indices, in the
+//!   same order as under the certified witness, so its verdict carries
+//!   over. A fresh read response is the last event, so every committed
+//!   writer's `tryC` precedes it and its local legal value equals its
+//!   global one.
+//!
+//! A decision therefore costs O(ops of `T` + the reads it affects), not
+//! O(prefix). Where the invariant cannot be carried forward — the first
+//! event, [`OnlineChecker::resume`], [`OnlineChecker::try_compact`], a
+//! search result, or a push that returned `Unknown` (the stored witness
+//! then certifies an older prefix, not the history minus the event) —
+//! the state is rebuilt from a `check_witness`-accepted `(history,
+//! witness)` pair, or the candidates go through `check_witness` itself
+//! ([`OnlineChecker::witness_checks`] counts those calls).
+//!
 //! Even the fallback searches are incremental: the search planner
 //! ([`crate::plan`]) decomposes each prefix into conflict-graph
 //! components, and the monitor caches each component's serialization
@@ -21,12 +63,15 @@
 //! rules (so reuse is validated, never trusted) and only the touched
 //! component is actually re-searched.
 
+mod validator;
+
 use crate::plan::ComponentCache;
 use crate::search::{decide_spec, Query};
 use crate::spec::Spec;
 use crate::{check_witness, CriterionKind, SearchConfig, Verdict, Witness};
 use duop_history::{Event, History, MalformedHistoryError, ObjId, Op, Ret, TxnId, Value};
 use std::collections::BTreeMap;
+use validator::Validator;
 
 /// Counters describing how much work the monitor has done.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -87,6 +132,59 @@ pub struct OnlineChecker {
     /// When set, the monitor attempts a [`Self::try_compact`] whenever a
     /// certified prefix has grown past this many retained events.
     compact_every: Option<usize>,
+    /// Incremental state certifying `witness` for `history`; `None` when
+    /// that has not been established (candidates then go through
+    /// [`check_witness`]).
+    validator: Option<Validator>,
+    /// Full [`check_witness`] calls made by this monitor. Not part of
+    /// [`OnlineStats`], so checkpoints do not carry it.
+    witness_checks: u64,
+}
+
+/// One cheap adaptation of the previous witness to the extended history,
+/// tried in [`EDITS`] order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Edit {
+    /// Same order (the event's transaction appended if new), same choices.
+    Keep,
+    /// The event's transaction moved to the end (a response often pushes a
+    /// transaction later in the order, e.g. when it read a newly committed
+    /// value).
+    MoveToEnd,
+    /// Same order with the event's transaction's pending-commit choice set
+    /// (a new tryC invocation opens the choice; a read from it may require
+    /// commit).
+    Decide(bool),
+}
+
+const EDITS: [Edit; 4] = [
+    Edit::Keep,
+    Edit::MoveToEnd,
+    Edit::Decide(true),
+    Edit::Decide(false),
+];
+
+impl Edit {
+    /// The candidate witness this edit makes of `prev` for an event of
+    /// `txn`.
+    fn witness(self, prev: &Witness, txn: TxnId) -> Witness {
+        let mut order = prev.order().to_vec();
+        if !order.contains(&txn) {
+            order.push(txn);
+        }
+        let mut choices = prev.commit_choices().clone();
+        match self {
+            Edit::Keep => {}
+            Edit::MoveToEnd => {
+                order.retain(|t| *t != txn);
+                order.push(txn);
+            }
+            Edit::Decide(decide) => {
+                choices.insert(txn, decide);
+            }
+        }
+        Witness::new(order, choices)
+    }
 }
 
 impl OnlineChecker {
@@ -121,20 +219,22 @@ impl OnlineChecker {
         stats: OnlineStats,
         cfg: SearchConfig,
     ) -> Self {
-        let witness =
-            witness.filter(|w| check_witness(&history, w, CriterionKind::DuOpacity).is_ok());
         let mut stats = stats;
         stats.retained_events = history.len();
         stats.peak_resident_events = stats.peak_resident_events.max(history.len());
-        OnlineChecker {
+        let mut mon = OnlineChecker {
             history,
-            witness,
             violated,
             cfg,
             stats,
-            cache: ComponentCache::default(),
-            compact_every: None,
+            ..OnlineChecker::default()
+        };
+        if let Some(w) = witness {
+            if mon.certify(&w) {
+                mon.witness = Some(w);
+            }
         }
+        mon
     }
 
     /// Enables (or disables, with `None`) automatic history compaction
@@ -175,6 +275,35 @@ impl OnlineChecker {
         self.violated.as_ref()
     }
 
+    /// Full [`check_witness`] calls this monitor has made: candidates
+    /// tried while no incremental state was established, and the
+    /// revalidations that establish it. Not checkpointed.
+    pub fn witness_checks(&self) -> u64 {
+        self.witness_checks
+    }
+
+    /// The candidates the next push of `event` would try, each with the
+    /// incremental validator's decision, or `None` when the event is
+    /// malformed or no incremental state is established (the push would
+    /// then run [`check_witness`]). Does not change the monitor; exposed
+    /// for differential tests against `check_witness`.
+    #[doc(hidden)]
+    pub fn incremental_decisions(&self, event: Event) -> Option<Vec<(Witness, bool)>> {
+        let (prev, val) = (self.witness.as_ref()?, self.validator.as_ref()?);
+        let mut h = self.history.clone();
+        h.push_checked(event).ok()?;
+        let choices = prev.commit_choices();
+        Some(
+            EDITS
+                .iter()
+                .map(|&edit| {
+                    let accepted = val.accepts(&h, event.txn, edit, choices);
+                    (edit.witness(prev, event.txn), accepted)
+                })
+                .collect(),
+        )
+    }
+
     /// Exports the component cache's serialization fragments for
     /// checkpointing (sorted, deterministic).
     pub fn export_fragments(&self) -> Vec<crate::snapshot::RawFragment> {
@@ -210,13 +339,10 @@ impl OnlineChecker {
         }
 
         // Candidate witnesses adapted from the previous prefix's witness.
-        for candidate in self.candidates(event) {
-            if check_witness(&self.history, &candidate, CriterionKind::DuOpacity).is_ok() {
-                self.stats.incremental_hits += 1;
-                self.witness = Some(candidate.clone());
-                self.maybe_auto_compact();
-                return Ok(Verdict::Satisfied(candidate));
-            }
+        if let Some(w) = self.adapt_witness(event) {
+            self.stats.incremental_hits += 1;
+            self.maybe_auto_compact();
+            return Ok(Verdict::Satisfied(w));
         }
 
         // Cheap polynomial prefilter before any search: an Error-severity
@@ -251,10 +377,15 @@ impl OnlineChecker {
         self.stats.component_reuses = self.cache.reuses;
         match &verdict {
             Verdict::Satisfied(w) => {
+                self.certify(w);
                 self.witness = Some(w.clone());
                 self.maybe_auto_compact();
             }
             Verdict::Violated(_) => self.violated = Some(verdict.clone()),
+            // The stored witness now certifies an older prefix, not the
+            // history minus this event; `adapt_witness` already cleared the
+            // incremental state, so the next push goes through
+            // `check_witness`.
             Verdict::Unknown { .. } => {}
         }
         Ok(verdict)
@@ -278,9 +409,10 @@ impl OnlineChecker {
     ///
     /// Compaction is performed only when it is provably verdict-preserving:
     ///
-    /// 1. **The prefix is certified**: the current witness re-validates
-    ///    against the retained history (so the prefix is du-opaque, and by
-    ///    Corollary 2 nothing before the cut can retroactively fail).
+    /// 1. **The prefix is certified**: the current witness is certified for
+    ///    the retained history — by the incremental validator's state, or
+    ///    else by a fresh [`check_witness`] — so the prefix is du-opaque,
+    ///    and by Corollary 2 nothing before the cut can retroactively fail.
     /// 2. **The prefix is t-complete**: every transaction has terminated,
     ///    so every retained transaction `≺RT`-precedes every future one and
     ///    any serialization of any extension orders the whole prefix block
@@ -309,9 +441,11 @@ impl OnlineChecker {
         if !self.history.is_t_complete() {
             return false;
         }
-        match &self.witness {
-            Some(w) if check_witness(&self.history, w, CriterionKind::DuOpacity).is_ok() => {}
-            _ => return false,
+        if self.validator.is_none() {
+            match self.witness.clone() {
+                Some(w) if self.certify(&w) => {}
+                _ => return false,
+            }
         }
         let Some(finals) = self.forced_final_values() else {
             return false;
@@ -327,18 +461,19 @@ impl OnlineChecker {
             events.push(Event::resp(TxnId::BASELINE, Ret::Committed));
         }
         let dropped = self.history.len();
-        let baseline = History::new(events).expect("baseline history is well-formed");
-        self.witness = if finals.is_empty() {
-            None
-        } else {
-            Some(Witness::new(vec![TxnId::BASELINE], BTreeMap::new()))
-        };
+        self.history = History::new(events).expect("baseline history is well-formed");
         self.stats.compactions += 1;
         self.stats.compacted_events += dropped as u64;
-        self.stats.retained_events = baseline.len();
-        self.history = baseline;
+        self.stats.retained_events = self.history.len();
         // Cached fragments serialize transactions that no longer exist.
         self.cache = ComponentCache::default();
+        // The incremental state describes the replaced history: rebuild it.
+        self.validator = None;
+        self.witness =
+            (!finals.is_empty()).then(|| Witness::new(vec![TxnId::BASELINE], BTreeMap::new()));
+        if let Some(w) = self.witness.clone() {
+            self.certify(&w);
+        }
         true
     }
 
@@ -376,40 +511,44 @@ impl OnlineChecker {
         Some(finals)
     }
 
-    /// Cheap adaptations of the previous witness to the extended history.
-    fn candidates(&self, event: Event) -> Vec<Witness> {
-        let Some(prev) = &self.witness else {
+    /// Tries the cheap adaptations of the previous witness, in [`EDITS`]
+    /// order, on the history just extended by `event`, and adopts the
+    /// first that certifies it.
+    fn adapt_witness(&mut self, event: Event) -> Option<Witness> {
+        let txn = event.txn;
+        let candidates = match (&self.witness, &mut self.validator) {
+            (Some(prev), Some(val)) => {
+                let choices = prev.commit_choices();
+                let accepted = EDITS
+                    .into_iter()
+                    .find(|&edit| val.accepts(&self.history, txn, edit, choices));
+                let Some(edit) = accepted else {
+                    // The search that follows replaces the witness.
+                    self.validator = None;
+                    return None;
+                };
+                val.apply(&self.history, event, edit, choices);
+                let w = edit.witness(prev, txn);
+                self.witness = Some(w.clone());
+                return Some(w);
+            }
+            (Some(prev), None) => EDITS.map(|edit| edit.witness(prev, txn)).to_vec(),
             // First event of the history: the single-transaction witness.
-            return vec![Witness::new(vec![event.txn], BTreeMap::new())];
+            (None, _) => vec![Witness::new(vec![txn], BTreeMap::new())],
         };
-        let mut out = Vec::new();
+        let w = candidates.into_iter().find(|w| self.certify(w))?;
+        self.witness = Some(w.clone());
+        Some(w)
+    }
 
-        let mut base_order = prev.order().to_vec();
-        if !base_order.contains(&event.txn) {
-            base_order.push(event.txn);
-        }
-        let choices = prev.commit_choices().clone();
-
-        // 1. Same order, same choices.
-        out.push(Witness::new(base_order.clone(), choices.clone()));
-
-        // 2. The affected transaction moved to the end (a response often
-        //    pushes a transaction later in the order, e.g. when it read a
-        //    newly committed value).
-        let mut moved = base_order.clone();
-        moved.retain(|t| *t != event.txn);
-        moved.push(event.txn);
-        out.push(Witness::new(moved, choices.clone()));
-
-        // 3. Same order with the affected transaction's pending-commit
-        //    choice flipped both ways (a new tryC invocation opens the
-        //    choice; a read from it may require commit).
-        for decide in [true, false] {
-            let mut flipped = choices.clone();
-            flipped.insert(event.txn, decide);
-            out.push(Witness::new(base_order.clone(), flipped));
-        }
-        out
+    /// Runs [`check_witness`] on `w` against the current history and
+    /// rebuilds the incremental state from it if it passes (clearing the
+    /// state otherwise). Returns whether it passed.
+    fn certify(&mut self, w: &Witness) -> bool {
+        self.witness_checks += 1;
+        let ok = check_witness(&self.history, w, CriterionKind::DuOpacity).is_ok();
+        self.validator = ok.then(|| Validator::build(&self.history, w));
+        ok
     }
 }
 
@@ -541,6 +680,67 @@ mod tests {
             ),
             "expected deadline Unknown, got {last:?}"
         );
+    }
+
+    #[test]
+    fn push_after_unknown_goes_through_check_witness() {
+        // After the deadline Unknown, the stored witness certifies the
+        // prefix before the read response, not the history minus the next
+        // event, so the next push must not trust the incremental state.
+        let mut mon = OnlineChecker::with_config(crate::SearchConfig {
+            deadline: Some(std::time::Duration::ZERO),
+            ..crate::SearchConfig::default()
+        });
+        for ev in [
+            Event::inv(t(1), Op::Write(x(), v(1))),
+            Event::resp(t(1), Ret::Ok),
+            Event::inv(t(1), Op::TryCommit),
+            Event::inv(t(2), Op::Read(x())),
+            Event::resp(t(2), Ret::Value(v(1))),
+        ] {
+            mon.push(ev).unwrap();
+        }
+        assert!(mon.validator.is_none());
+        let checks = mon.witness_checks();
+        let next = Event::resp(t(1), Ret::Committed);
+        assert!(mon.incremental_decisions(next).is_none());
+        let verdict = mon.push(next).unwrap();
+        // T1 committing makes the stale witness's order valid again; it is
+        // found by a full check_witness, which re-establishes the state.
+        assert_eq!(
+            verdict.witness().map(Witness::order),
+            Some(&[t(1), t(2)][..])
+        );
+        assert_eq!(mon.witness_checks(), checks + 1);
+        assert!(mon.validator.is_some());
+        let after = mon.push(Event::inv(t(2), Op::TryCommit)).unwrap();
+        assert!(after.is_satisfied());
+        assert_eq!(mon.witness_checks(), checks + 1, "incremental again");
+    }
+
+    #[test]
+    fn renumbered_stamps_decide_like_fresh_ones() {
+        let h = HistoryBuilder::new()
+            .inv_write(t(1), x(), v(1))
+            .inv_read(t(2), x())
+            .resp_value(t(2), v(0))
+            .resp_ok(t(1))
+            .commit(t(1))
+            .committed_reader(t(3), x(), v(1))
+            .commit(t(2))
+            .committed_writer(t(4), x(), v(4))
+            .committed_reader(t(5), x(), v(4))
+            .build();
+        let mut plain = OnlineChecker::new();
+        let mut renumbered = OnlineChecker::new();
+        for ev in h.events() {
+            let a = plain.push(*ev).unwrap();
+            if let Some(val) = renumbered.validator.as_mut() {
+                val.renumber();
+            }
+            assert_eq!(renumbered.push(*ev).unwrap(), a);
+        }
+        assert_eq!(renumbered.stats(), plain.stats());
     }
 
     #[test]

@@ -1307,6 +1307,12 @@ pub fn run_sharded(jobs: Vec<ShardJob>, cfg: &ShardConfig) -> Result<Vec<Verdict
 mod tests {
     use super::*;
 
+    /// Serializes the tests that spawn processes. A child forked by one
+    /// test inherits every pipe open in the test process at that moment,
+    /// until it execs or exits, so a concurrent spawn can keep the read
+    /// end of another test's worker pipe alive.
+    static SPAWN_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn shard_criterion_parses_all_tokens() {
         for token in ["du", "final-state", "rco", "tms2", "strict", "opacity"] {
@@ -1334,6 +1340,9 @@ mod tests {
     /// undecided}, which no later event could ever resurrect.
     #[test]
     fn failed_dispatch_write_keeps_the_task() {
+        // The write below must see EPIPE: no other test's child may hold
+        // the read end of this pipe.
+        let _spawning = SPAWN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let cfg = ShardConfig {
             workers: 1,
             worker_cmd: vec!["true".to_owned()],
@@ -1421,6 +1430,7 @@ mod tests {
 
     #[test]
     fn nonexistent_worker_command_is_a_spawn_error() {
+        let _spawning = SPAWN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let cfg = ShardConfig {
             workers: 1,
             worker_cmd: vec!["/nonexistent/duop-worker-binary".to_owned()],
