@@ -32,7 +32,7 @@ USAGE:
                [--status-every N] [--compact-every N]
   duop serve [--addr HOST:PORT] [--state-dir DIR] [--session-cap N]
              [--idle-timeout SECS] [--max-retained N] [--session-budget N]
-             [--checkpoint-every N] [--peer-rps N]
+             [--peer-rps N]
   duop client <trace-file|-> --addr HOST:PORT [--session ID]
               [--chunk-events N] [--body-format text|binary] [--budget N]
               [--format text|json]
@@ -139,10 +139,14 @@ verdict line `duop check --criterion du` would; `GET /v1/session/ID` is
 the resume point (acknowledged-event count); `DELETE /v1/session/ID`
 ends it; `GET /metrics` is Prometheus-style text. `--addr HOST:PORT`
 binds (port 0 picks a free port, printed as `listening on ...`).
-`--state-dir DIR` checkpoints every session (integrity-hashed snapshot,
-flushed every `--checkpoint-every N` ingest requests, default 1, plus on
-reap and drain) and recovers all of them on restart; SIGINT/SIGTERM
-drain gracefully (in-flight requests finish, every session flushes).
+`--state-dir DIR` makes every acknowledgement crash-safe: before each
+ingest ack the batch's events are appended to the session's journal
+(`session-N.log`, CRC-framed), and once the journal would outgrow the
+session's integrity-hashed base checkpoint (`session-N.ck`) the base is
+rewritten instead. On restart every session is recovered from its base
+plus journal; `duop resume session-N.ck` replays the journal the same
+way. SIGINT/SIGTERM drain gracefully (in-flight requests finish; there
+is nothing left to flush).
 `--session-budget N` caps each session's retained events — the budget
 drives prefix compaction first and, when compaction cannot reclaim
 space, degrades the session's verdict soundly to `unknown` with a
@@ -150,8 +154,8 @@ partial payload (a prior violation stays final) instead of growing
 without bound. `--max-retained N` is the global ceiling across sessions:
 past it the daemon sheds ingest with `429 Retry-After`. `--session-cap`
 bounds live sessions (default 256); sessions idle past `--idle-timeout`
-(default 300s) are checkpointed and reaped, and page back in on next
-access. `--peer-rps N` rate-limits each client address to N session
+(default 300s) are evicted from memory, and page back in from the state
+dir on next access. `--peer-rps N` rate-limits each client address to N session
 requests per second (`/metrics` is exempt; 0, the default, disables
 the limit); throttled requests get `429 Retry-After` and count in the
 `duop_serve_throttled_requests` metric. `client` streams a local trace into a serve daemon: it creates
@@ -442,8 +446,6 @@ pub enum Command {
         max_retained: Option<u64>,
         /// Default per-session retained-event budget.
         session_budget: Option<usize>,
-        /// Flush a session checkpoint every this many ingest requests.
-        checkpoint_every: u64,
         /// Per-client-address session requests per second (0 = off).
         peer_rps: u64,
     },
@@ -918,7 +920,6 @@ impl Command {
                 let mut idle_timeout_secs = 300u64;
                 let mut max_retained = None;
                 let mut session_budget = None;
-                let mut checkpoint_every = 1u64;
                 let mut peer_rps = 0u64;
                 while let Some(arg) = it.next() {
                     match arg.as_str() {
@@ -939,9 +940,6 @@ impl Command {
                             session_budget =
                                 Some(parse_every("--session-budget", &mut it)? as usize);
                         }
-                        "--checkpoint-every" => {
-                            checkpoint_every = parse_every("--checkpoint-every", &mut it)?;
-                        }
                         "--peer-rps" => {
                             peer_rps = value_of("--peer-rps", &mut it)?
                                 .parse()
@@ -957,7 +955,6 @@ impl Command {
                     idle_timeout_secs,
                     max_retained,
                     session_budget,
-                    checkpoint_every,
                     peer_rps,
                 })
             }
@@ -1533,7 +1530,6 @@ mod tests {
                 idle_timeout_secs: 300,
                 max_retained: None,
                 session_budget: None,
-                checkpoint_every: 1,
                 peer_rps: 0,
             }
         );
@@ -1551,8 +1547,6 @@ mod tests {
             "5000",
             "--session-budget",
             "128",
-            "--checkpoint-every",
-            "3",
         ])
         .unwrap();
         assert_eq!(
@@ -1564,11 +1558,12 @@ mod tests {
                 idle_timeout_secs: 10,
                 max_retained: Some(5000),
                 session_budget: Some(128),
-                checkpoint_every: 3,
                 peer_rps: 0,
             }
         );
         assert!(parse(&["serve", "trace.txt"]).is_err());
+        // Every ack is journaled; there is no checkpoint cadence to set.
+        assert!(parse(&["serve", "--checkpoint-every", "3"]).is_err());
         assert!(parse(&["serve", "--max-retained", "0"]).is_err());
         match parse(&["serve", "--peer-rps", "5"]).unwrap() {
             Command::Serve { peer_rps, .. } => assert_eq!(peer_rps, 5),

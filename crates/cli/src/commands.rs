@@ -257,7 +257,6 @@ pub fn execute(cmd: &Command, out: &mut dyn Write) -> CmdResult {
             idle_timeout_secs,
             max_retained,
             session_budget,
-            checkpoint_every,
             peer_rps,
         } => {
             let cfg = duop_serve::ServeConfig {
@@ -267,7 +266,6 @@ pub fn execute(cmd: &Command, out: &mut dyn Write) -> CmdResult {
                 idle_timeout: std::time::Duration::from_secs(*idle_timeout_secs),
                 max_retained: *max_retained,
                 session_budget: *session_budget,
-                checkpoint_every: *checkpoint_every,
                 peer_rps: *peer_rps,
             };
             let server = duop_serve::Server::bind(cfg)?;
@@ -991,17 +989,28 @@ fn resume(file: &str, out: &mut dyn Write) -> CmdResult {
 }
 
 /// Resumes a daemon session checkpoint offline: rebuilds the session
-/// (revalidating history and witness, re-deriving any violation) and
-/// reports its verdict — the same one the daemon would serve after
-/// recovering the checkpoint with `duop serve --state-dir`.
+/// (revalidating history and witness, re-deriving any violation),
+/// replays the journal next to it (`session-N.log`) exactly as daemon
+/// recovery does, and reports its verdict — the same one the daemon
+/// would serve after recovering it with `duop serve --state-dir`.
 fn resume_session(ss: snapshot::SessionSnapshot, file: &str, out: &mut dyn Write) -> CmdResult {
     let sid = ss.session;
-    let ingested = ss.ingested;
     let mut session = duop_serve::Session::resume(ss)?;
+    let replay = duop_serve::journal::replay_sibling(&mut session, file);
+    let mut journaled = String::new();
+    if replay != duop_serve::Replay::default() {
+        let log = duop_serve::journal::log_path(file);
+        let stop = replay
+            .stopped
+            .map(|why| format!("; replay stopped: {why}"))
+            .unwrap_or_default();
+        journaled = format!(" (+{} journaled in {log}{stop})", replay.applied);
+    }
     writeln!(
         out,
-        "resumed session {sid} from {file}: {ingested} events acknowledged, \
+        "resumed session {sid} from {file}{journaled}: {} events acknowledged, \
          {} retained{}",
+        session.ingested(),
         session.retained(),
         if session.degraded() {
             " (degraded)"

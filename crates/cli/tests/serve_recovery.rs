@@ -7,7 +7,8 @@
 
 #![cfg(unix)]
 
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 
 const DUOP: &str = env!("CARGO_BIN_EXE_duop");
@@ -191,8 +192,8 @@ fn kill_during_ingest_then_recover_concurrent_sessions() {
 
 #[test]
 fn kill_during_checkpoint_then_recover_concurrent_sessions() {
-    // Die immediately before the 3rd checkpoint write — a crash inside
-    // the persistence path itself.
+    // Die halfway through the 3rd journal append — a crash inside the
+    // persistence path itself, leaving a torn record for recovery.
     kill_recover_roundtrip("checkpoint", "DUOP_SERVE_KILL_CHECKPOINT", "3");
 }
 
@@ -229,5 +230,87 @@ fn recovery_survives_a_corrupt_checkpoint_neighbor() {
     );
     let _ = daemon2.kill();
     let _ = daemon2.wait();
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+/// One HTTP request on a fresh connection: `(status, body)`.
+fn http(addr: &str, method: &str, path: &str, body: &[u8]) -> (u16, String) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let head = format!(
+        "{method} {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\
+         Content-Length: {}\r\n\r\n",
+        body.len()
+    );
+    stream.write_all(head.as_bytes()).expect("write head");
+    stream.write_all(body).expect("write body");
+    let mut out = String::new();
+    stream.read_to_string(&mut out).expect("read response");
+    let status = out[9..12].parse().expect("status code");
+    let body = out.split_once("\r\n\r\n").map_or("", |(_, b)| b).to_owned();
+    (status, body)
+}
+
+fn ingested(addr: &str) -> String {
+    let (status, body) = http(addr, "GET", "/v1/session/1", b"");
+    assert_eq!(status, 200, "{body}");
+    let field = body.split("\"ingested\":").nth(1).expect("ingested field");
+    field.split(',').next().unwrap().to_owned()
+}
+
+#[test]
+fn malformed_batch_prefix_survives_kill_and_restart() {
+    // The events before a malformed one are acknowledged (the status
+    // route reports them), so they must be durable too.
+    let state = temp_dir("malformed-prefix");
+    let (mut daemon, addr) = start_daemon(&state, &[]);
+    assert_eq!(http(&addr, "POST", "/v1/session", b"").0, 201);
+    let body = b"T1 write X0 1\nT1 ok\nT1 tryc\nT1 commit\nT2 read X0\nT9 commit\nT2 val 1\n";
+    let (status, reply) = http(&addr, "POST", "/v1/session/1/events", body);
+    assert_eq!(status, 400, "{reply}");
+    assert_eq!(ingested(&addr), "5");
+    daemon.kill().expect("kill -9 the daemon");
+    let _ = daemon.wait();
+
+    let (mut daemon2, addr2) = start_daemon(&state, &[]);
+    assert_eq!(ingested(&addr2), "5", "the accepted prefix was lost");
+    let _ = daemon2.kill();
+    let _ = daemon2.wait();
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+#[test]
+fn offline_resume_replays_the_session_journal() {
+    // `duop resume session-N.ck` must report what the daemon would serve
+    // after recovery: the base plus every journaled record.
+    let state = temp_dir("offline-resume");
+    let trace = repo_trace("lost-update.txt");
+    let (mut daemon, addr) = start_daemon(&state, &[]);
+    let streamed = client(&trace, &addr, &[]);
+    assert_eq!(streamed.stdout, batch_verdict(&trace));
+    daemon.kill().expect("kill -9 the daemon");
+    let _ = daemon.wait();
+    let base = format!("{state}/session-1.ck");
+    assert!(
+        std::path::Path::new(&format!("{state}/session-1.log")).exists(),
+        "the last POSTs should be journaled, not folded into the base"
+    );
+
+    let resumed = Command::new(DUOP)
+        .args(["resume", &base])
+        .output()
+        .expect("run duop resume");
+    let check = Command::new(DUOP)
+        .args(["check", &trace, "--criterion", "du"])
+        .output()
+        .expect("run duop check");
+    assert_eq!(resumed.status.code(), check.status.code());
+    let resumed = String::from_utf8(resumed.stdout).unwrap();
+    let check = String::from_utf8(check.stdout).unwrap();
+    let events = check.split(' ').next().unwrap();
+    assert!(
+        resumed.contains(&format!(": {events} events acknowledged")),
+        "{resumed}"
+    );
+    assert_eq!(resumed.lines().nth(1), check.lines().nth(1));
     let _ = std::fs::remove_dir_all(&state);
 }

@@ -437,11 +437,109 @@ fn check_id(what: &'static str, value: u64) -> Result<u32, BinaryParseError> {
     Ok(value as u32)
 }
 
-fn push_frame(out: &mut Vec<u8>, ty: u8, payload: &[u8]) {
+/// Appends one `type len payload crc` frame to `out`.
+pub fn push_frame(out: &mut Vec<u8>, ty: u8, payload: &[u8]) {
     out.push(ty);
     write_varint(out, payload.len() as u64);
     out.extend_from_slice(payload);
     out.extend_from_slice(&crc32(payload).to_le_bytes());
+}
+
+/// Appends `events` to `out` as `'E'` frames of at most
+/// [`EVENTS_PER_FRAME`] events each — exactly the frames [`encode`] writes,
+/// so a log can grow by whole frames without re-encoding what came before.
+/// An empty slice appends nothing.
+pub fn push_event_frames(out: &mut Vec<u8>, events: &[Event]) {
+    let mut payload = Vec::new();
+    for chunk in events.chunks(EVENTS_PER_FRAME) {
+        payload.clear();
+        write_varint(&mut payload, chunk.len() as u64);
+        for &ev in chunk {
+            encode_event(&mut payload, ev);
+        }
+        push_frame(out, FRAME_EVENTS, &payload);
+    }
+}
+
+/// Reads the frame starting at `bytes[*pos]` and advances `*pos` past it,
+/// returning its type byte, its CRC-checked payload, and the payload's
+/// offset in `bytes`. The type byte is returned unchecked.
+///
+/// # Errors
+///
+/// [`BinaryParseError::Truncated`] if the frame runs past the input,
+/// [`BinaryParseError::FrameTooLarge`] for a length above
+/// [`MAX_FRAME_BYTES`], [`BinaryParseError::OversizedVarint`] for a bad
+/// length prefix, and [`BinaryParseError::CrcMismatch`].
+pub fn read_frame<'a>(
+    bytes: &'a [u8],
+    pos: &mut usize,
+) -> Result<(u8, &'a [u8], usize), BinaryParseError> {
+    let frame_offset = *pos;
+    let Some(&ty) = bytes.get(frame_offset) else {
+        return Err(BinaryParseError::Truncated {
+            offset: frame_offset,
+            context: "frame type",
+        });
+    };
+    let mut p = frame_offset + 1;
+    let len = read_varint(bytes, &mut p, 0)?;
+    if len > MAX_FRAME_BYTES as u64 {
+        return Err(BinaryParseError::FrameTooLarge { len });
+    }
+    let len = len as usize;
+    let end = p
+        .checked_add(len)
+        .and_then(|e| e.checked_add(CRC_BYTES))
+        .filter(|&e| e <= bytes.len())
+        .ok_or(BinaryParseError::Truncated {
+            offset: bytes.len(),
+            context: "frame payload",
+        })?;
+    let payload = &bytes[p..p + len];
+    let stored = u32::from_le_bytes(
+        bytes[p + len..end]
+            .try_into()
+            .expect("CRC slice is 4 bytes"),
+    );
+    let computed = crc32(payload);
+    if stored != computed {
+        return Err(BinaryParseError::CrcMismatch {
+            frame_offset,
+            stored,
+            computed,
+        });
+    }
+    *pos = end;
+    Ok((ty, payload, p))
+}
+
+/// Decodes a whole `'E'` frame payload (as returned by [`read_frame`]),
+/// appending its events to `out`. `base` is the payload's offset in the
+/// enclosing input, used only for error reporting.
+///
+/// # Errors
+///
+/// Any event-level [`BinaryParseError`], or
+/// [`BinaryParseError::TrailingBytes`] if the payload holds more bytes
+/// than its declared events.
+pub fn decode_event_payload(
+    payload: &[u8],
+    base: usize,
+    out: &mut Vec<Event>,
+) -> Result<(), BinaryParseError> {
+    let mut pos = 0usize;
+    let n = read_varint(payload, &mut pos, base)?;
+    // Every event takes at least two payload bytes, so a count beyond
+    // that is hostile — don't let it size the reserve.
+    out.reserve(n.min((payload.len() / 2 + 1) as u64) as usize);
+    for _ in 0..n {
+        out.push(decode_one(payload, &mut pos, base)?);
+    }
+    if pos != payload.len() {
+        return Err(BinaryParseError::TrailingBytes { offset: base + pos });
+    }
+    Ok(())
 }
 
 fn encode_event(out: &mut Vec<u8>, ev: Event) {
@@ -487,16 +585,8 @@ pub fn encode_with_names(history: &History, names: &InternTable) -> Vec<u8> {
         }
         push_frame(&mut out, FRAME_INTERN, &payload);
     }
+    push_event_frames(&mut out, events);
     let mut payload = Vec::new();
-    for chunk in events.chunks(EVENTS_PER_FRAME.max(1)) {
-        payload.clear();
-        write_varint(&mut payload, chunk.len() as u64);
-        for &ev in chunk {
-            encode_event(&mut payload, ev);
-        }
-        push_frame(&mut out, FRAME_EVENTS, &payload);
-    }
-    payload.clear();
     write_varint(&mut payload, events.len() as u64);
     push_frame(&mut out, FRAME_END, &payload);
     out
@@ -619,47 +709,16 @@ impl<'a> EventStream<'a> {
 
     /// Reads, CRC-checks, and returns the next frame as `(type, payload)`.
     fn next_frame(&mut self) -> Result<(u8, &'a [u8], usize), BinaryParseError> {
-        let frame_offset = self.pos;
         let Some(&ty) = self.bytes.get(self.pos) else {
             return Err(BinaryParseError::MissingEndFrame);
         };
         if ty != FRAME_INTERN && ty != FRAME_EVENTS && ty != FRAME_END {
             return Err(BinaryParseError::UnknownFrameType {
                 byte: ty,
-                offset: frame_offset,
+                offset: self.pos,
             });
         }
-        let mut pos = self.pos + 1;
-        let len = read_varint(self.bytes, &mut pos, 0)?;
-        if len > MAX_FRAME_BYTES as u64 {
-            return Err(BinaryParseError::FrameTooLarge { len });
-        }
-        let len = len as usize;
-        let payload_base = pos;
-        let end = pos
-            .checked_add(len)
-            .and_then(|e| e.checked_add(CRC_BYTES))
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or(BinaryParseError::Truncated {
-                offset: self.bytes.len(),
-                context: "frame payload",
-            })?;
-        let payload = &self.bytes[pos..pos + len];
-        let stored = u32::from_le_bytes(
-            self.bytes[pos + len..end]
-                .try_into()
-                .expect("CRC slice is 4 bytes"),
-        );
-        let computed = crc32(payload);
-        if stored != computed {
-            return Err(BinaryParseError::CrcMismatch {
-                frame_offset,
-                stored,
-                computed,
-            });
-        }
-        self.pos = end;
-        Ok((ty, payload, payload_base))
+        read_frame(self.bytes, &mut self.pos)
     }
 
     fn load_intern_table(

@@ -8,8 +8,10 @@
 //!   oversized request degrades to a structured 4xx, never a panic.
 //! - [`session`]: one session's checker, retained-event budget, sound
 //!   degradation to `Unknown{partial}`, and checkpoint round-tripping.
+//! - [`journal`]: crash safety — a base checkpoint plus an append-only
+//!   journal of the acknowledged events, and its replay on recovery.
 //! - [`server`]: the accept loop — lifecycle routes, idle reaping,
-//!   global `429 Retry-After` shedding, periodic checkpoints, eager
+//!   global `429 Retry-After` shedding, per-POST journaling, eager
 //!   `--state-dir` recovery, graceful drain, `/metrics`, and the
 //!   `DUOP_SERVE_KILL_*` fault hooks that make the recovery paths
 //!   testable the way the shard protocol's are.
@@ -25,10 +27,12 @@
 #![warn(missing_docs)]
 
 pub mod http;
+pub mod journal;
 pub mod listener;
 pub mod server;
 pub mod session;
 
+pub use journal::Replay;
 pub use server::{
     ServeConfig, ServeError, Server, ShutdownHandle, DROP_CONN_ENV, KILL_CHECKPOINT_ENV,
     KILL_EXIT_CODE, KILL_INGEST_ENV,

@@ -1,8 +1,9 @@
 //! The daemon: a thread-per-connection HTTP/1.1 accept loop multiplexing
-//! checking sessions, with idle reaping, global load shedding, periodic
-//! per-session checkpointing, eager `--state-dir` recovery, graceful
-//! drain on SIGINT/SIGTERM, a Prometheus-style `/metrics` endpoint, and
-//! the `DUOP_SERVE_KILL_*` deterministic fault hooks.
+//! checking sessions, with idle reaping, global load shedding, a
+//! per-session base checkpoint plus journal written before every ingest
+//! ack, eager `--state-dir` recovery, graceful drain on SIGINT/SIGTERM, a
+//! Prometheus-style `/metrics` endpoint, and the `DUOP_SERVE_KILL_*`
+//! deterministic fault hooks.
 
 use std::collections::HashMap;
 use std::io::{BufReader, Write};
@@ -17,6 +18,7 @@ use duop_history::reader::TraceReader;
 use duop_history::Event;
 
 use crate::http::{self, HttpError, Request, Response};
+use crate::journal;
 use crate::listener::{self, Accepted};
 use crate::session::Session;
 
@@ -25,12 +27,12 @@ use crate::session::Session;
 pub const KILL_EXIT_CODE: i32 = 83;
 
 /// `DUOP_SERVE_KILL_INGEST=N`: die (exit [`KILL_EXIT_CODE`]) once N
-/// total events have been ingested — *before* the batch's checkpoint and
-/// acknowledgement, so everything past the last flush is lost.
+/// total events have been ingested — *before* the batch is journaled and
+/// acknowledged, so the batch is lost and the client re-streams it.
 pub const KILL_INGEST_ENV: &str = "DUOP_SERVE_KILL_INGEST";
-/// `DUOP_SERVE_KILL_CHECKPOINT=N`: die immediately before the Nth
-/// checkpoint write (mid-checkpoint crash; the atomic temp-file+rename
-/// save means the previous checkpoint must survive intact).
+/// `DUOP_SERVE_KILL_CHECKPOINT=N`: die after writing the first half of
+/// the Nth journal append (a torn record, never acknowledged, that
+/// recovery must cut off at the last whole record).
 pub const KILL_CHECKPOINT_ENV: &str = "DUOP_SERVE_KILL_CHECKPOINT";
 /// `DUOP_SERVE_DROP_CONN=N`: drop the Nth accepted connection on the
 /// floor without reading or answering it.
@@ -41,12 +43,13 @@ pub const DROP_CONN_ENV: &str = "DUOP_SERVE_DROP_CONN";
 pub struct ServeConfig {
     /// Bind address; port `0` picks a free port (printed on startup).
     pub addr: String,
-    /// Checkpoint directory. `None` disables crash safety.
+    /// Directory of the per-session base checkpoints and journals.
+    /// `None` disables crash safety.
     pub state_dir: Option<String>,
     /// Maximum live sessions; creation beyond it is shed with 429.
     pub session_cap: usize,
-    /// Reap sessions idle for longer than this (flushed to the state
-    /// dir first, and transparently recovered on next access).
+    /// Evict sessions idle for longer than this (their journal is
+    /// already current; they page back in on next access).
     pub idle_timeout: Duration,
     /// Global ceiling on retained events across all sessions; ingest
     /// beyond it is shed with `429 Retry-After` until compaction or
@@ -55,8 +58,6 @@ pub struct ServeConfig {
     /// Default per-session retained-event budget (overridable per
     /// session with `POST /v1/session?budget=N`).
     pub session_budget: Option<usize>,
-    /// Flush a session's checkpoint every N ingest requests.
-    pub checkpoint_every: u64,
     /// Per-client (peer-address) ceiling on session-route requests per
     /// second; `0` disables it. One hot client is throttled with
     /// `429 Retry-After` before it can crowd out the global ceiling
@@ -73,7 +74,6 @@ impl Default for ServeConfig {
             idle_timeout: Duration::from_secs(300),
             max_retained: None,
             session_budget: None,
-            checkpoint_every: 1,
             peer_rps: 0,
         }
     }
@@ -108,7 +108,10 @@ pub struct Metrics {
     requests_total: AtomicU64,
     shed_requests: AtomicU64,
     throttled_requests: AtomicU64,
+    /// Journal appends (one per persisted ingest POST).
     checkpoints_written: AtomicU64,
+    /// Base checkpoint rewrites (each also drops the journal).
+    checkpoint_rewrites: AtomicU64,
     connections_accepted: AtomicU64,
     connections_dropped: AtomicU64,
     verdicts_satisfied: AtomicU64,
@@ -136,7 +139,8 @@ struct State {
     /// Per-peer request windows for `peer_rps` throttling.
     peers: Mutex<HashMap<IpAddr, PeerWindow>>,
     conns: AtomicU64,
-    checkpoints: AtomicU64,
+    /// Journal appends attempted, for the mid-append kill hook.
+    appends: AtomicU64,
     kill_ingest: Option<u64>,
     kill_checkpoint: Option<u64>,
     drop_conn: Option<u64>,
@@ -180,15 +184,12 @@ impl std::fmt::Debug for Server {
     }
 }
 
-fn session_path(dir: &str, id: u64) -> String {
-    format!("{dir}/session-{id}.ck")
-}
-
 impl Server {
     /// Binds the listen socket and eagerly recovers every loadable
-    /// `session-*.ck` checkpoint in the state dir. A corrupt or
-    /// unreadable checkpoint is skipped (the daemon must come up), never
-    /// trusted: recovery re-derives verdicts from the retained events.
+    /// `session-*.ck` base in the state dir, replaying its journal. A
+    /// corrupt or unreadable base is skipped (the daemon must come up),
+    /// never trusted: recovery re-derives verdicts from the retained
+    /// events.
     ///
     /// # Errors
     ///
@@ -204,7 +205,7 @@ impl Server {
             retained: AtomicU64::new(0),
             peers: Mutex::new(HashMap::new()),
             conns: AtomicU64::new(0),
-            checkpoints: AtomicU64::new(0),
+            appends: AtomicU64::new(0),
             kill_ingest: env_u64(KILL_INGEST_ENV),
             kill_checkpoint: env_u64(KILL_CHECKPOINT_ENV),
             drop_conn: env_u64(DROP_CONN_ENV),
@@ -251,8 +252,9 @@ impl Server {
 
     /// Runs the accept loop until SIGINT/SIGTERM (the process-wide
     /// interrupt flag) or the [`ShutdownHandle`] requests a drain, then
-    /// drains: stops accepting, lets in-flight requests finish, flushes
-    /// every session to the state dir, and returns.
+    /// drains: stops accepting, lets in-flight requests finish, and
+    /// returns. Every acknowledged batch is already journaled, so there
+    /// is nothing left to flush.
     ///
     /// # Errors
     ///
@@ -300,14 +302,14 @@ impl Server {
             }
         }
         // Drain: in-flight requests finish (each worker notices the
-        // shutdown flag within one read timeout), then every session is
-        // flushed so a restart resumes exactly here.
+        // shutdown flag within one read timeout); their acks were
+        // journaled, so a restart resumes exactly here.
         self.shutdown.store(true, Ordering::SeqCst);
         for w in workers {
             w.join().ok();
         }
-        let flushed = flush_all(&self.state);
-        writeln!(out, "drained ({flushed} sessions flushed)")
+        let live = self.state.sessions.lock().unwrap().len();
+        writeln!(out, "drained ({live} sessions journaled)")
             .map_err(|e| ServeError::Io(e.to_string()))?;
         Ok(())
     }
@@ -324,32 +326,25 @@ fn recover_sessions(state: &Arc<State>, dir: &str) {
         if !name.starts_with("session-") || !name.ends_with(".ck") {
             continue;
         }
-        let path = format!("{dir}/{name}");
-        let snap = match snapshot::load(&path) {
-            Ok(Snapshot::Session(s)) => s,
-            // A corrupt (or foreign-kind) checkpoint cannot stop the
-            // daemon from coming up; it is skipped, not deleted, so the
-            // evidence survives for inspection.
-            _ => continue,
+        // A corrupt (or foreign-kind) base cannot stop the daemon from
+        // coming up; it is skipped, not deleted, so the evidence survives
+        // for inspection.
+        let Some(session) = recover(&format!("{dir}/{name}")) else {
+            continue;
         };
-        match Session::resume(snap) {
-            Ok(session) => {
-                max_id = max_id.max(session.id);
-                state
-                    .retained
-                    .fetch_add(session.retained() as u64, Ordering::SeqCst);
-                state
-                    .metrics
-                    .sessions_recovered
-                    .fetch_add(1, Ordering::Relaxed);
-                state
-                    .sessions
-                    .lock()
-                    .unwrap()
-                    .insert(session.id, Arc::new(Mutex::new(session)));
-            }
-            Err(_) => continue,
-        }
+        max_id = max_id.max(session.id);
+        state
+            .retained
+            .fetch_add(session.retained() as u64, Ordering::SeqCst);
+        state
+            .metrics
+            .sessions_recovered
+            .fetch_add(1, Ordering::Relaxed);
+        state
+            .sessions
+            .lock()
+            .unwrap()
+            .insert(session.id, Arc::new(Mutex::new(session)));
     }
     bump_retained_peak(state);
     let next = state.next_id.load(Ordering::SeqCst).max(max_id + 1);
@@ -361,47 +356,84 @@ fn bump_retained_peak(state: &State) {
     state.metrics.retained_peak.fetch_max(now, Ordering::SeqCst);
 }
 
-/// Flushes one session's checkpoint (honouring the mid-checkpoint kill
-/// hook). Returns whether a file was written.
-fn checkpoint_session(state: &State, session: &mut Session) -> bool {
-    let Some(dir) = state.cfg.state_dir.as_deref() else {
-        return false;
+/// Resumes the session whose base checkpoint is `base` and replays its
+/// journal; `None` if the base is missing, corrupt or not a session.
+fn recover(base: &str) -> Option<Session> {
+    let snap = match snapshot::load(base) {
+        Ok(Snapshot::Session(s)) => s,
+        _ => return None,
     };
-    let nth = state.checkpoints.fetch_add(1, Ordering::SeqCst) + 1;
-    if state.kill_checkpoint == Some(nth) {
-        // Fault hook: die mid-checkpoint. The atomic save (temp file +
-        // rename) has not started, so the previous checkpoint survives.
-        std::process::exit(KILL_EXIT_CODE);
+    let mut session = Session::resume(snap).ok()?;
+    journal::replay_sibling(&mut session, base);
+    Some(session)
+}
+
+/// Makes the batch that just acknowledged `accepted` durable before its
+/// ack: one journal append, or a base rewrite once the journal would
+/// outgrow the base (see [`crate::journal`]). An append that fails falls
+/// back to a rewrite.
+fn persist(state: &State, session: &mut Session, accepted: &[Event]) {
+    let Some(dir) = state.cfg.state_dir.as_deref() else {
+        return;
+    };
+    if accepted.is_empty() || session.journal.deleted {
+        return;
+    }
+    let n = accepted.len() as u64;
+    let base = journal::base_path(dir, session.id);
+    let log = journal::log_path(&base);
+    if session.journal.fits(n) {
+        let bytes = journal::record(session.ingested() - n, accepted);
+        let nth = state.appends.fetch_add(1, Ordering::SeqCst) + 1;
+        if state.kill_checkpoint == Some(nth) {
+            // Fault hook: die halfway through the append. The torn
+            // record was never acknowledged; recovery cuts it off.
+            session
+                .journal
+                .write(&log, &bytes[..bytes.len() / 2], 0)
+                .ok();
+            std::process::exit(KILL_EXIT_CODE);
+        }
+        if session.journal.write(&log, &bytes, n).is_ok() {
+            state
+                .metrics
+                .checkpoints_written
+                .fetch_add(1, Ordering::Relaxed);
+            return;
+        }
     }
     let snap = Snapshot::Session(session.snapshot());
-    if snapshot::save(&session_path(dir, session.id), &snap).is_ok() {
-        session.dirty_posts = 0;
+    if snapshot::save(&base, &snap).is_ok() {
+        session.journal.reset(&log, session.retained() as u64);
         state
             .metrics
-            .checkpoints_written
+            .checkpoint_rewrites
             .fetch_add(1, Ordering::Relaxed);
-        true
-    } else {
-        false
     }
 }
 
+/// Evicts sessions idle past the timeout. Their journal is already
+/// current, so eviction writes nothing. A session some request still
+/// holds is skipped: evicting it would let a later lookup page in a
+/// second live copy writing to the same journal.
 fn reap_idle(state: &Arc<State>) {
     let timeout = state.cfg.idle_timeout;
     let mut sessions = state.sessions.lock().unwrap();
+    // Requests take their handle under the map lock, which this holds,
+    // so a count of one cannot grow before the session is removed.
     let idle: Vec<u64> = sessions
         .iter()
         .filter(|(_, s)| {
-            s.lock()
-                .map(|s| s.last_activity.elapsed() >= timeout)
-                .unwrap_or(false)
+            Arc::strong_count(s) == 1
+                && s.lock()
+                    .map(|s| s.last_activity.elapsed() >= timeout)
+                    .unwrap_or(false)
         })
         .map(|(&id, _)| id)
         .collect();
     for id in idle {
         if let Some(arc) = sessions.remove(&id) {
-            if let Ok(mut session) = arc.lock() {
-                checkpoint_session(state, &mut session);
+            if let Ok(session) = arc.lock() {
                 state
                     .retained
                     .fetch_sub(session.retained() as u64, Ordering::SeqCst);
@@ -412,19 +444,6 @@ fn reap_idle(state: &Arc<State>) {
                 .fetch_add(1, Ordering::Relaxed);
         }
     }
-}
-
-fn flush_all(state: &Arc<State>) -> u64 {
-    let sessions = state.sessions.lock().unwrap();
-    let mut flushed = 0;
-    for arc in sessions.values() {
-        if let Ok(mut session) = arc.lock() {
-            if checkpoint_session(state, &mut session) {
-                flushed += 1;
-            }
-        }
-    }
-    flushed
 }
 
 fn handle_connection(
@@ -480,27 +499,26 @@ fn lookup(state: &State, id: u64) -> Option<Arc<Mutex<Session>>> {
     if let Some(s) = state.sessions.lock().unwrap().get(&id) {
         return Some(Arc::clone(s));
     }
-    // Reaped (or pre-restart) sessions page back in from their
-    // checkpoint transparently.
+    // Reaped (or pre-restart) sessions page back in from their base
+    // and journal transparently.
     let dir = state.cfg.state_dir.as_deref()?;
-    let snap = match snapshot::load(&session_path(dir, id)) {
-        Ok(Snapshot::Session(s)) => s,
-        _ => return None,
-    };
-    let session = Session::resume(snap).ok()?;
-    state
-        .retained
-        .fetch_add(session.retained() as u64, Ordering::SeqCst);
-    state
-        .metrics
-        .sessions_recovered
-        .fetch_add(1, Ordering::Relaxed);
-    bump_retained_peak(state);
+    let session = recover(&journal::base_path(dir, id))?;
+    let retained = session.retained() as u64;
     let arc = Arc::new(Mutex::new(session));
     let mut sessions = state.sessions.lock().unwrap();
-    Some(Arc::clone(
-        sessions.entry(id).or_insert_with(|| Arc::clone(&arc)),
-    ))
+    // Two requests may page the same session in at once; only the copy
+    // that lands in the map counts.
+    let live = Arc::clone(sessions.entry(id).or_insert_with(|| Arc::clone(&arc)));
+    drop(sessions);
+    if Arc::ptr_eq(&live, &arc) {
+        state.retained.fetch_add(retained, Ordering::SeqCst);
+        state
+            .metrics
+            .sessions_recovered
+            .fetch_add(1, Ordering::Relaxed);
+        bump_retained_peak(state);
+    }
+    Some(live)
 }
 
 fn shed(state: &State) -> Response {
@@ -645,16 +663,21 @@ fn session_request(
         }
         ("DELETE", "") => {
             let removed = state.sessions.lock().unwrap().remove(&id);
-            if let Some(arc) = removed {
-                if let Ok(session) = arc.lock() {
-                    state
-                        .retained
-                        .fetch_sub(session.retained() as u64, Ordering::SeqCst);
-                }
+            // Holding the session's lock while its files go keeps an
+            // in-flight ingest from writing them back afterwards.
+            let mut held = removed.as_ref().and_then(|arc| arc.lock().ok());
+            if let Some(session) = held.as_mut() {
+                session.journal.deleted = true;
+                state
+                    .retained
+                    .fetch_sub(session.retained() as u64, Ordering::SeqCst);
             }
             if let Some(dir) = state.cfg.state_dir.as_deref() {
-                std::fs::remove_file(session_path(dir, id)).ok();
+                let base = journal::base_path(dir, id);
+                std::fs::remove_file(journal::log_path(&base)).ok();
+                std::fs::remove_file(base).ok();
             }
+            drop(held);
             Response::json(200, "OK", format!("{{\"deleted\":{id}}}\n"))
         }
         _ => Response::error(
@@ -711,13 +734,13 @@ fn ingest(state: &Arc<State>, arc: &Arc<Mutex<Session>>, req: &Request) -> Respo
         .events_discarded
         .fetch_add(report.discarded, Ordering::Relaxed);
     if state.kill_ingest.is_some_and(|n| total >= n) {
-        // Fault hook: die mid-ingest, before this batch is checkpointed
-        // or acknowledged — the client must re-stream it after recovery.
+        // Fault hook: die mid-ingest, before this batch is journaled or
+        // acknowledged — the client must re-stream it after recovery.
         std::process::exit(KILL_EXIT_CODE);
     }
-    if session.dirty_posts >= state.cfg.checkpoint_every.max(1) {
-        checkpoint_session(state, &mut session);
-    }
+    // The accepted events are a prefix of the batch (a malformed event
+    // stops it), and that prefix is acknowledged either way.
+    persist(state, &mut session, &events[..report.accepted as usize]);
     let ack = format!(
         "{{\"session\":{},\"ingested\":{},\"retained\":{},\"degraded\":{},\"violated\":{}}}\n",
         session.id,
@@ -818,6 +841,11 @@ fn metrics_response(state: &Arc<State>) -> Response {
         "checkpoints_written",
         "counter",
         m.checkpoints_written.load(Ordering::Relaxed),
+    );
+    metric(
+        "checkpoint_rewrites",
+        "counter",
+        m.checkpoint_rewrites.load(Ordering::Relaxed),
     );
     metric(
         "connections_accepted",

@@ -1,7 +1,8 @@
 //! One daemon session: an [`OnlineChecker`] plus the bookkeeping the
 //! service layer needs — acknowledged-event counts, a hard retained-event
 //! budget with sound degradation, and checkpoint round-tripping through
-//! the [`duop_core::snapshot`] session variant.
+//! the [`duop_core::snapshot`] session variant (the base that
+//! [`crate::journal`] replays its journal onto).
 
 use std::time::Instant;
 
@@ -9,6 +10,8 @@ use duop_core::online::{OnlineChecker, OnlineStats};
 use duop_core::snapshot::{Fragment, SessionSnapshot, WitnessSnap};
 use duop_core::{Criterion, DuOpacity, PartialProgress, SearchConfig, UnknownReason, Verdict};
 use duop_history::{Event, History, MalformedHistoryError};
+
+use crate::journal::Journal;
 
 /// What one ingest batch did to the session.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -39,8 +42,8 @@ pub struct Session {
     degraded: bool,
     /// Last ingest/verdict activity, for idle reaping.
     pub last_activity: Instant,
-    /// Ingest requests since the last checkpoint flush.
-    pub dirty_posts: u64,
+    /// The state dir's journal writer for this session.
+    pub(crate) journal: Journal,
 }
 
 impl Session {
@@ -58,7 +61,7 @@ impl Session {
             budget,
             degraded: false,
             last_activity: Instant::now(),
-            dirty_posts: 0,
+            journal: Journal::default(),
         }
     }
 
@@ -135,7 +138,6 @@ impl Session {
                 Err(e) => return Err((e, report)),
             }
         }
-        self.dirty_posts += 1;
         Ok(report)
     }
 
@@ -213,6 +215,7 @@ impl Session {
     /// The history's own well-formedness error if the snapshot's events
     /// do not form a valid history.
     pub fn resume(snap: SessionSnapshot) -> Result<Self, MalformedHistoryError> {
+        let journal = Journal::after_base(snap.events.len() as u64);
         let history = History::new(snap.events)?;
         let violated = Some(DuOpacity::with_config(SearchConfig::default()).check(&history))
             .filter(|v| v.is_violated());
@@ -243,7 +246,7 @@ impl Session {
             budget,
             degraded: snap.degraded,
             last_activity: Instant::now(),
-            dirty_posts: 0,
+            journal,
         })
     }
 }
